@@ -32,5 +32,6 @@ mod grad_check;
 mod tape;
 
 pub use grad_check::{assert_grad_close, numerical_gradient};
+pub use hgnas_tensor::kernels::EdgePart;
 pub use hgnas_tensor::reduce::Reduction;
 pub use tape::{Tape, Var};

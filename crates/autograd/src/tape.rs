@@ -2,8 +2,9 @@
 
 use hgnas_tensor::kernels::{
     concat_cols, fold_rows, gather_rows, repeat_rows, row_norms, scatter_add_rows, split_cols,
+    EdgeAggregate, EdgePart,
 };
-use hgnas_tensor::reduce::{reduce_mid_axis, segment_reduce_rows, Reduction};
+use hgnas_tensor::reduce::{reduce_groups, segment_reduce_rows, Reduction};
 use hgnas_tensor::{simd, Tensor};
 
 /// Handle to a value recorded on a [`Tape`].
@@ -60,6 +61,17 @@ enum Op {
         k: usize,
         how: Reduction,
         args: Vec<usize>,
+    },
+    /// Fused edge message passing over `[n, c]` features (see
+    /// [`EdgeAggregate`]). The index table and the max/min winner args are
+    /// saved only when `h` requires grad.
+    EdgeAggregate {
+        h: Var,
+        idx: Vec<usize>,
+        k: usize,
+        parts: Vec<EdgePart>,
+        how: Reduction,
+        args: Vec<u16>,
     },
     /// Segment pooling over rows with saved segment offsets and winner args.
     SegmentPool {
@@ -268,9 +280,7 @@ impl Tape {
             k > 0 && rows.is_multiple_of(k),
             "reduce_mid: {rows} rows not divisible by k={k}"
         );
-        let c = t.dims()[1];
-        let viewed = t.reshape(&[rows / k, k, c]);
-        let r = reduce_mid_axis(&viewed, how);
+        let r = reduce_groups(t.data(), rows / k, k, t.dims()[1], how);
         let rg = self.requires(x);
         self.push(
             r.values,
@@ -279,6 +289,59 @@ impl Tape {
                 k,
                 how,
                 args: r.args,
+            },
+            rg,
+        )
+    }
+
+    /// Fused neighbour aggregation over `[n, c]` node features `h`: node
+    /// `i` reduces, with `how`, the messages of its `k` edges
+    /// `idx[i*k + kk] -> i`, each message the concatenation of `parts`;
+    /// produces `[n, w]`. Values and gradients are bit-identical to the
+    /// chain `gather_rows` / `repeat_rows` / `sub` / `row_norms` /
+    /// `concat_cols` / `reduce_mid`, without materialising any per-edge
+    /// tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not 2-D, `idx.len() != n*k`, an index is out of
+    /// bounds, or the layout is invalid (see [`EdgeAggregate::shape`]).
+    pub fn edge_aggregate(
+        &mut self,
+        h: Var,
+        idx: &[usize],
+        k: usize,
+        parts: &[EdgePart],
+        how: Reduction,
+    ) -> Var {
+        let t = self.value(h);
+        assert_eq!(
+            t.shape().rank(),
+            2,
+            "edge_aggregate requires [n,c] features"
+        );
+        let spec = EdgeAggregate {
+            h: t.data(),
+            c: t.dims()[1],
+            idx,
+            k,
+            parts,
+            how,
+        };
+        let (n, w) = spec.shape();
+        let rg = self.requires(h);
+        let track = rg && matches!(how, Reduction::Max | Reduction::Min);
+        let mut args = if track { vec![0u16; n * w] } else { Vec::new() };
+        let value = spec.forward(track.then_some(args.as_mut_slice()));
+        self.push(
+            Tensor::from_vec(value, &[n, w]),
+            Op::EdgeAggregate {
+                h,
+                idx: if rg { idx.to_vec() } else { Vec::new() },
+                k,
+                parts: parts.to_vec(),
+                how,
+                args,
             },
             rg,
         )
@@ -575,6 +638,35 @@ impl Tape {
                         }
                     }
                     self.accumulate(x, Tensor::from_vec(dx, &[n * k, c]));
+                }
+                Op::EdgeAggregate {
+                    h,
+                    idx,
+                    k,
+                    parts,
+                    how,
+                    args,
+                } => {
+                    let h = *h;
+                    let hv = self.value(h);
+                    let dims = hv.dims().to_vec();
+                    let grads = EdgeAggregate {
+                        h: hv.data(),
+                        c: dims[1],
+                        idx,
+                        k: *k,
+                        parts,
+                        how: *how,
+                    }
+                    .backward(args, gout.data());
+                    // The chain's reverse sweep reaches the repeat (target)
+                    // node before the gather (source) node.
+                    if let Some(fold) = grads.fold {
+                        self.accumulate(h, Tensor::from_vec(fold, &dims));
+                    }
+                    if let Some(scatter) = grads.scatter {
+                        self.accumulate(h, Tensor::from_vec(scatter, &dims));
+                    }
                 }
                 Op::SegmentPool {
                     x,

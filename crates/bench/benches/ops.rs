@@ -1,6 +1,7 @@
 //! Criterion micro-benches plus a `BENCH_ops.json` record for the ops-level
 //! hot path: the elementwise/activation kernels the autograd tape runs per
-//! forward/backward, the gather/repeat message kernels, and the per-batch
+//! forward/backward, the gather/repeat message kernels, the fused
+//! edge-aggregate op against the op chain it replaced, and the per-batch
 //! KNN cache (a cold EdgeConv forward pays the O(n²) graph build, a warm
 //! one reads it back).
 //!
@@ -10,9 +11,9 @@
 //! `BENCH_ops.baseline.json`.
 
 use criterion::{criterion_group, Criterion};
-use hgnas_autograd::Tape;
+use hgnas_autograd::{Reduction, Tape};
 use hgnas_bench::record::{emit_bench_json, json_only, time_both};
-use hgnas_ops::{DgcnnConfig, EdgeConvModel};
+use hgnas_ops::{DgcnnConfig, EdgeConvModel, MessageType};
 use hgnas_pointcloud::{Batch, DatasetConfig, PointCloud, SynthNet40};
 use hgnas_tensor::kernels::{gather_rows, repeat_rows};
 use hgnas_tensor::simd;
@@ -110,6 +111,36 @@ fn emit_ops_json() {
     entries.push(time_both("repeat_rows", "1024x64 k=20", 9, || {
         black_box(repeat_rows(black_box(&t), 20));
     }));
+
+    // Neighbour aggregation, forward + backward on a tape, fused op versus
+    // the gather/repeat/sub/concat/reduce chain it replaced (same bits).
+    // Shapes: supernet training (8 clouds x 128 points, k=10, 24 channels)
+    // and the tiny served request (8 x 48, k=8, 16 channels); the Full
+    // message under Max is the widest layout with winner tracking.
+    for &(n, k, cc) in &[(1024usize, 10usize, 24usize), (384, 8, 16)] {
+        let shape = format!("{n}x{cc} k={k} full/max");
+        let h = Tensor::rand_uniform(&mut rng, &[n, cc], -1.0, 1.0);
+        let idx: Vec<usize> = (0..n * k).map(|e| (e * 7 + e / k) % n).collect();
+        let parts = MessageType::Full.parts();
+        let run = |fused: bool| {
+            let mut tape = Tape::new();
+            let hv = tape.param(h.clone());
+            let agg = if fused {
+                tape.edge_aggregate(hv, &idx, k, parts, Reduction::Max)
+            } else {
+                let nbr = tape.gather_rows(hv, &idx);
+                let ctr = tape.repeat_rows(hv, k);
+                let rel = tape.sub(nbr, ctr);
+                let msg = tape.concat_cols(&[ctr, nbr, rel]);
+                tape.reduce_mid(msg, k, Reduction::Max)
+            };
+            let loss = tape.sum_all(agg);
+            tape.backward(loss);
+            black_box(tape.grad(hv).map(|g| g.data()[0]));
+        };
+        entries.push(time_both("edge_aggregate_chain", &shape, 9, || run(false)));
+        entries.push(time_both("edge_aggregate_fused", &shape, 9, || run(true)));
+    }
 
     // The per-batch KNN cache: a cold forward builds the layer-0 graph, a
     // warm forward reads it back from the batch. The cold/warm lane-path

@@ -9,12 +9,15 @@
 //! The distance loop is split from the selection loop: distances for a
 //! whole candidate batch are computed first through the lane kernels in
 //! [`hgnas_tensor::simd`] (`squared_distances_3d` for the brute-force
-//! 0..n sweep, the gathered `_indexed` variant for grid-shell candidate
-//! lists), then the bounded insertion-select consumes the scored batch in
-//! the original candidate order. The lane kernels compute each distance
-//! with the exact association the old scalar fold used
-//! (`(dx²+dy²)+dz²`), so neighbour sets — ties included — are
-//! bit-identical to both the scalar fallback and the pre-lane code.
+//! 0..n sweep over 3-D clouds, the gathered `_indexed` variant for
+//! grid-shell candidate lists, and `sq_diff_accumulate` over a
+//! column-major copy of the cloud at any other dimension, e.g. KNN on
+//! hidden features), then the bounded insertion-select consumes the scored
+//! batch in the original candidate order. The lane kernels compute each
+//! distance with the exact association of a sequential scalar fold over
+//! the coordinates (`(dx²+dy²)+dz²` in 3-D), so neighbour sets — ties
+//! included — are bit-identical to both the scalar fallback and the
+//! pre-lane code.
 
 use crate::neighbors::NeighborList;
 use hgnas_tensor::simd;
@@ -31,11 +34,6 @@ static KNN_BRUTE_CALLS: AtomicUsize = AtomicUsize::new(0);
 /// integration-test binary), since parallel tests all bump the same counter.
 pub fn knn_brute_calls() -> usize {
     KNN_BRUTE_CALLS.load(Ordering::Relaxed)
-}
-
-#[inline]
-fn dist2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 fn validate(points: &[f32], dim: usize, k: usize) -> usize {
@@ -74,16 +72,18 @@ fn select_k_scored(
     best
 }
 
-/// Fills `dists[j] = |points[i] - points[j]|²` for every point, through the
-/// lane kernel when the cloud is 3-D, the scalar [`dist2`] otherwise (both
-/// produce the same bits for 3-D inputs).
-fn fill_dists(i: usize, points: &[f32], dim: usize, dists: &mut [f32]) {
+/// Fills `dists[j] = |points[i] - points[j]|²` for every point: through the
+/// 3-D lane kernel on interleaved points, otherwise a coordinate at a time
+/// over `cols`, the column-major copy of the cloud (`[dim, n]`). Each
+/// distance is the sequential fold over its coordinates either way.
+fn fill_dists(i: usize, points: &[f32], dim: usize, cols: &[f32], dists: &mut [f32]) {
     let pi = &points[i * dim..(i + 1) * dim];
     if dim == 3 {
         simd::squared_distances_3d(pi, points, dists);
     } else {
-        for (j, d) in dists.iter_mut().enumerate() {
-            *d = dist2(pi, &points[j * dim..(j + 1) * dim]);
+        dists.fill(0.0);
+        for (col, &q) in cols.chunks_exact(dists.len()).zip(pi) {
+            simd::sq_diff_accumulate(dists, q, col);
         }
     }
 }
@@ -98,10 +98,22 @@ fn fill_dists(i: usize, points: &[f32], dim: usize, dists: &mut [f32]) {
 pub fn knn_brute(points: &[f32], dim: usize, k: usize) -> NeighborList {
     KNN_BRUTE_CALLS.fetch_add(1, Ordering::Relaxed);
     let n = validate(points, dim, k);
+    // Off the 3-D path, a column-major copy makes each coordinate of every
+    // candidate contiguous, so distances accumulate across all candidates
+    // on the lane layer.
+    let mut cols = Vec::new();
+    if dim != 3 {
+        cols = vec![0.0f32; n * dim];
+        for (j, p) in points.chunks_exact(dim).enumerate() {
+            for (d, &v) in p.iter().enumerate() {
+                cols[d * n + j] = v;
+            }
+        }
+    }
     let mut idx = vec![0usize; n * k];
     let mut dists = vec![0.0f32; n];
     for i in 0..n {
-        fill_dists(i, points, dim, &mut dists);
+        fill_dists(i, points, dim, &cols, &mut dists);
         let best = select_k_scored(i, dists.iter().copied().enumerate(), k);
         for (slot, &(_, j)) in best.iter().enumerate() {
             idx[i * k + slot] = j;
@@ -251,6 +263,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn dist2(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    }
 
     fn random_cloud(rng: &mut StdRng, n: usize) -> Vec<f32> {
         (0..n * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect()

@@ -17,8 +17,65 @@ fn d2(pts: &[f32], i: usize, j: usize) -> f32 {
         .sum()
 }
 
+/// Reference KNN at any dimension: each distance a sequential scalar fold
+/// over the coordinates, candidates stably sorted by distance (so exact
+/// ties keep index order, as the bounded insertion-select does).
+fn knn_reference(pts: &[f32], dim: usize, k: usize) -> Vec<usize> {
+    let n = pts.len() / dim;
+    let mut idx = Vec::with_capacity(n * k);
+    for i in 0..n {
+        let pi = &pts[i * dim..(i + 1) * dim];
+        let mut scored: Vec<(f32, usize)> = (0..n)
+            .filter(|&j| j != i)
+            .map(|j| {
+                let pj = &pts[j * dim..(j + 1) * dim];
+                let d: f32 = pi.iter().zip(pj).map(|(x, y)| (x - y) * (x - y)).sum();
+                (d, j)
+            })
+            .collect();
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+        idx.extend(scored[..k].iter().map(|&(_, j)| j));
+    }
+    idx
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn brute_matches_reference_on_hidden_features(
+        seed in 0u64..500, n in 12usize..70, k in 1usize..11, mode in 0u32..3
+    ) {
+        use hgnas_tensor::simd::{with_path, LanePath};
+        use rand::Rng;
+        let dim = 24;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pts: Vec<f32> = match mode {
+            // Small integers: exact distance ties.
+            0 => (0..n * dim).map(|_| rng.gen_range(-2i32..3) as f32).collect(),
+            // The origin plus permutations of one vector: every distance
+            // from the origin sums the same squares in a different order,
+            // so only the rounding of that order separates them.
+            1 => {
+                let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let mut pts = vec![0.0f32; dim];
+                for _ in 1..n {
+                    let mut p = v.clone();
+                    for d in (1..dim).rev() {
+                        p.swap(d, rng.gen_range(0..d + 1));
+                    }
+                    pts.extend(p);
+                }
+                pts
+            }
+            _ => (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+        };
+        let want = knn_reference(&pts, dim, k);
+        for path in [LanePath::Scalar, LanePath::Avx2] {
+            let got = with_path(path, || knn_brute(&pts, dim, k));
+            prop_assert_eq!(got.flat(), want.as_slice());
+        }
+    }
 
     #[test]
     fn knn_is_truly_nearest(seed in 0u64..500, n in 12usize..60, k in 1usize..8) {

@@ -1,5 +1,6 @@
 //! IR types: operations, functions, architectures (paper Table I).
 
+use hgnas_tensor::kernels::EdgePart;
 use hgnas_tensor::reduce::Reduction;
 use std::fmt;
 
@@ -93,17 +94,27 @@ impl MessageType {
 
     /// Message width given the current feature width `c`.
     pub fn width(self, c: usize) -> usize {
-        match self {
-            MessageType::SourcePos | MessageType::TargetPos | MessageType::RelPos => c,
-            MessageType::Distance => 1,
-            MessageType::SourceRel | MessageType::TargetRel => 2 * c,
-            MessageType::Full => 3 * c,
-        }
+        self.parts().iter().map(|p| p.width(c)).sum()
     }
 
     /// Stable index for feature encoding.
     pub fn index(self) -> usize {
         Self::ALL.iter().position(|&m| m == self).unwrap()
+    }
+
+    /// The message's column layout, as consumed by the fused
+    /// edge-aggregate op (`x_i` is the target, `x_j` the neighbour).
+    pub fn parts(self) -> &'static [EdgePart] {
+        use EdgePart::*;
+        match self {
+            MessageType::SourcePos => &[Source],
+            MessageType::TargetPos => &[Target],
+            MessageType::RelPos => &[Rel],
+            MessageType::Distance => &[Distance],
+            MessageType::SourceRel => &[Source, Rel],
+            MessageType::TargetRel => &[Target, Rel],
+            MessageType::Full => &[Target, Source, Rel],
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The trainable executor for fine-grained architectures.
 
-use crate::ir::{Architecture, ConnectFn, MessageType, Operation, SampleFn};
+use crate::ir::{Architecture, ConnectFn, Operation, SampleFn};
 use hgnas_autograd::{Reduction, Tape, Var};
 use hgnas_graph::{knn_brute, random_neighbors};
 use hgnas_nn::{Activation, Linear, Mlp, Module, Param};
@@ -157,30 +157,7 @@ impl GnnModel {
                             }));
                     }
                     let idx: &[usize] = neighbors.as_ref().unwrap();
-                    let nbr = tape.gather_rows(h, idx);
-                    let ctr = tape.repeat_rows(h, k);
-                    let message = match msg {
-                        MessageType::SourcePos => nbr,
-                        MessageType::TargetPos => ctr,
-                        MessageType::RelPos => tape.sub(nbr, ctr),
-                        MessageType::Distance => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.row_norms(rel)
-                        }
-                        MessageType::SourceRel => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[nbr, rel])
-                        }
-                        MessageType::TargetRel => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[ctr, rel])
-                        }
-                        MessageType::Full => {
-                            let rel = tape.sub(nbr, ctr);
-                            tape.concat_cols(&[ctr, nbr, rel])
-                        }
-                    };
-                    h = tape.reduce_mid(message, k, agg.reduction());
+                    h = tape.edge_aggregate(h, idx, k, msg.parts(), agg.reduction());
                     cur_dim = msg.width(cur_dim);
                     h_is_raw = false;
                 }
@@ -235,7 +212,7 @@ impl Module for GnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Aggregator, FunctionSet, OpType};
+    use crate::ir::{Aggregator, FunctionSet, MessageType, OpType};
     use hgnas_pointcloud::{DatasetConfig, SynthNet40};
     use rand::SeedableRng;
 

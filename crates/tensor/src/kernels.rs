@@ -9,7 +9,15 @@
 //! append straight into uninitialised capacity (`extend_from_slice`) — a
 //! single `memcpy` pass per row instead of a zero-fill followed by a copy;
 //! copies move bits, so no lane/scalar distinction exists for them.
+//!
+//! [`EdgeAggregate`] (forward and backward) fuses the whole
+//! message-passing chain — gather, repeat, subtract, norm, concat and the
+//! neighbour reduction — into one pass over the `[n, c]` node features.
+//! Each edge's message row is built in a scratch row and reduced straight
+//! into the output, with exactly the per-element operations (and order) the
+//! chain's separate kernels perform, so results are bit-identical to it.
 
+use crate::reduce::Reduction;
 use crate::simd;
 use crate::Tensor;
 
@@ -167,6 +175,339 @@ pub fn row_norms(t: &Tensor) -> Tensor {
         out[i] = simd::dot(row, row).sqrt();
     }
     Tensor::from_vec(out, &[n, 1])
+}
+
+/// Guards the division in the distance message's backward pass (the same
+/// epsilon the autograd norm backward uses).
+const EPS: f32 = 1e-8;
+
+/// One column block of an edge message. For the edge from neighbour `j`
+/// into target `i` of `[n, c]` node features `h`, a message is the
+/// concatenation of its parts, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EdgePart {
+    /// `h[i]`, the target node's own features (`c` wide).
+    Target,
+    /// `h[j]`, the neighbour's features (`c` wide).
+    Source,
+    /// `h[j] - h[i]` (`c` wide).
+    Rel,
+    /// `‖h[j] - h[i]‖₂` (one column); must be the message's only part.
+    Distance,
+}
+
+impl EdgePart {
+    /// Column width of this part over `c`-wide node features.
+    pub fn width(self, c: usize) -> usize {
+        match self {
+            EdgePart::Distance => 1,
+            _ => c,
+        }
+    }
+}
+
+/// Per-edge scratch: the relative vector `h[j] - h[i]` and its norm, computed
+/// exactly as the chain's `sub` and `row_norms` kernels do, and only when
+/// the message reads them.
+struct EdgeScratch {
+    rel: Vec<f32>,
+    norm: f32,
+    needs_rel: bool,
+    needs_norm: bool,
+}
+
+impl EdgeScratch {
+    fn new(c: usize, parts: &[EdgePart]) -> Self {
+        let needs_norm = parts.contains(&EdgePart::Distance);
+        EdgeScratch {
+            rel: vec![0.0; c],
+            norm: 0.0,
+            needs_rel: needs_norm || parts.contains(&EdgePart::Rel),
+            needs_norm,
+        }
+    }
+
+    fn load(&mut self, hi: &[f32], hj: &[f32]) {
+        if self.needs_rel {
+            self.rel.copy_from_slice(hj);
+            simd::sub_assign(&mut self.rel, hi);
+        }
+        if self.needs_norm {
+            self.norm = simd::dot(&self.rel, &self.rel).sqrt();
+        }
+    }
+}
+
+/// Keeps, per element, the strictly better of `acc` and `row` (`MAX`: the
+/// larger, else the smaller), recording slot `kk` in `arg` on a win.
+fn keep_better<const MAX: bool>(acc: &mut [f32], arg: Option<&mut [u16]>, row: &[f32], kk: u16) {
+    let better = |v: f32, o: f32| if MAX { v > o } else { v < o };
+    match arg {
+        Some(arg) => {
+            for ((o, a), &v) in acc.iter_mut().zip(arg).zip(row) {
+                if better(v, *o) {
+                    *o = v;
+                    *a = kk;
+                }
+            }
+        }
+        None => {
+            for (o, &v) in acc.iter_mut().zip(row) {
+                if better(v, *o) {
+                    *o = v;
+                }
+            }
+        }
+    }
+}
+
+/// The gradient halves [`EdgeAggregate::backward`] routes back into `h`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EdgeGrads {
+    /// `[n, c]` target-side gradient (the adjoint of repeating each node's
+    /// row `k` times), present when the message reads the target.
+    pub fold: Option<Vec<f32>>,
+    /// `[n, c]` source-side gradient (the adjoint of gathering neighbour
+    /// rows), present when the message reads the source.
+    pub scatter: Option<Vec<f32>>,
+}
+
+/// Fused message passing over a fixed-fanout graph: every node `i` of the
+/// `[n, c]` features `h` (row-major) reduces, with `how`, the messages of
+/// its `k` incoming edges `idx[i*k + kk] -> i`. A message is the
+/// concatenation of `parts`, `w` columns in all.
+///
+/// The forward builds each edge's message in a `w`-float scratch row and
+/// reduces it straight into `[n, w]`; nothing per-edge is materialised.
+/// Both passes are bit-identical to the chain they replace — gather the
+/// neighbour rows, repeat the target rows, subtract, take row norms,
+/// concatenate, then [`crate::reduce::reduce_mid_axis`] — because every
+/// element sees the same IEEE operations in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct EdgeAggregate<'a> {
+    /// `[n, c]` node features, row-major.
+    pub h: &'a [f32],
+    /// Feature width of `h`.
+    pub c: usize,
+    /// `n*k` source indices, `k` consecutive ones per target node.
+    pub idx: &'a [usize],
+    /// Fixed fanout.
+    pub k: usize,
+    /// The message layout; no part repeats and `Distance` stands alone.
+    pub parts: &'a [EdgePart],
+    /// The neighbour reduction.
+    pub how: Reduction,
+}
+
+impl EdgeAggregate<'_> {
+    /// Checks the shape contract and returns `(n, w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not whole `c`-wide rows, `k == 0`,
+    /// `idx.len() != n*k`, or the layout is empty, repeats a part or
+    /// combines `Distance` with another part.
+    pub fn shape(&self) -> (usize, usize) {
+        let (c, k, parts) = (self.c, self.k, self.parts);
+        assert!(c > 0 && self.h.len().is_multiple_of(c), "h is not [n, {c}]");
+        let n = self.h.len() / c;
+        assert!(k > 0, "k must be positive");
+        assert_eq!(
+            self.idx.len(),
+            n * k,
+            "need k={k} neighbour indices per node"
+        );
+        assert!(!parts.is_empty(), "an edge message needs at least one part");
+        for (i, p) in parts.iter().enumerate() {
+            assert!(!parts[..i].contains(p), "edge part {p:?} repeated");
+        }
+        assert!(
+            parts.len() == 1 || !parts.contains(&EdgePart::Distance),
+            "the distance part must stand alone"
+        );
+        (n, parts.iter().map(|p| p.width(c)).sum())
+    }
+
+    fn tracks_args(&self) -> bool {
+        matches!(self.how, Reduction::Max | Reduction::Min)
+    }
+
+    /// Column offset of `want` in the message row, if the layout has it.
+    fn offset(&self, want: EdgePart) -> Option<usize> {
+        let pos = self.parts.iter().position(|&p| p == want)?;
+        Some(self.parts[..pos].iter().map(|p| p.width(self.c)).sum())
+    }
+
+    /// Forward pass, producing `[n, w]`:
+    ///
+    /// - Sum and Mean start from `+0.0` and add message rows in neighbour
+    ///   order; Mean then scales once by `1/k`.
+    /// - Max and Min copy the first message row, then keep strictly better
+    ///   values. When `args` is given (`[n, w]`, Max/Min only), it receives
+    ///   each output element's winning neighbour slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`EdgeAggregate::shape`] violation, an out-of-bounds
+    /// index, a `k` that overflows `u16` args, or misshapen `args`.
+    pub fn forward(&self, mut args: Option<&mut [u16]>) -> Vec<f32> {
+        let (n, w) = self.shape();
+        let (h, c, k) = (self.h, self.c, self.k);
+        let tracks = self.tracks_args();
+        if let Some(a) = args.as_deref() {
+            assert!(tracks, "winner args exist only for max/min");
+            assert!(k <= usize::from(u16::MAX) + 1, "k={k} overflows u16 args");
+            assert_eq!(a.len(), n * w, "args must be [n, w]");
+        }
+        let mut out = vec![0.0f32; n * w];
+        let mut row = vec![0.0f32; w];
+        let mut edge = EdgeScratch::new(c, self.parts);
+        for i in 0..n {
+            let hi = &h[i * c..(i + 1) * c];
+            let acc = &mut out[i * w..(i + 1) * w];
+            for kk in 0..k {
+                let j = self.idx[i * k + kk];
+                assert!(j < n, "gather index {j} out of bounds for {n} rows");
+                let hj = &h[j * c..(j + 1) * c];
+                edge.load(hi, hj);
+                let mut off = 0;
+                for &p in self.parts {
+                    let dst = &mut row[off..off + p.width(c)];
+                    match p {
+                        EdgePart::Target => dst.copy_from_slice(hi),
+                        EdgePart::Source => dst.copy_from_slice(hj),
+                        EdgePart::Rel => dst.copy_from_slice(&edge.rel),
+                        EdgePart::Distance => dst[0] = edge.norm,
+                    }
+                    off += dst.len();
+                }
+                if !tracks {
+                    simd::add_assign(acc, &row);
+                } else if kk == 0 {
+                    acc.copy_from_slice(&row);
+                } else {
+                    let arg = args.as_deref_mut().map(|a| &mut a[i * w..(i + 1) * w]);
+                    if self.how == Reduction::Max {
+                        keep_better::<true>(acc, arg, &row, kk as u16);
+                    } else {
+                        keep_better::<false>(acc, arg, &row, kk as u16);
+                    }
+                }
+            }
+        }
+        if self.how == Reduction::Mean {
+            simd::scale(&mut out, 1.0 / k as f32);
+        }
+        out
+    }
+
+    /// Backward pass given the output gradient `g` (`[n, w]`) and, for
+    /// Max/Min, the `args` the forward recorded.
+    ///
+    /// Reproduces the chain's arithmetic per edge. The message gradient row
+    /// is `g` (Sum), `g·(1/k)` scaled once per node (Mean), or `g` at the
+    /// winning slot and `+0.0` elsewhere (Max/Min); a distance part turns it
+    /// into `g·rel / max(norm, ε)` for the relative vector. The source side
+    /// then receives `g_source + g_rel` and the target side
+    /// `g_target + g_rel·(−1)`; an absent part contributes no addition at
+    /// all. Target rows are summed per node from `+0.0` in neighbour order
+    /// (as [`fold_rows`] does), source rows scatter-added in edge order (as
+    /// [`scatter_add_rows`] does). The caller adds [`EdgeGrads::fold`] into
+    /// the gradient of `h` before [`EdgeGrads::scatter`], the order of the
+    /// chain's reverse sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`EdgeAggregate::shape`] violation, an out-of-bounds
+    /// index, `g.len() != n*w`, or Max/Min without `[n, w]` args.
+    pub fn backward(&self, args: &[u16], g: &[f32]) -> EdgeGrads {
+        let (n, w) = self.shape();
+        let (h, c, k) = (self.h, self.c, self.k);
+        assert_eq!(g.len(), n * w, "output gradient must be [n, w]");
+        let tracks = self.tracks_args();
+        if tracks {
+            assert_eq!(args.len(), n * w, "max/min backward needs [n, w] args");
+        }
+        let (target_at, source_at) = (self.offset(EdgePart::Target), self.offset(EdgePart::Source));
+        let rel_at = self.offset(EdgePart::Rel);
+        let distance = self.parts.contains(&EdgePart::Distance);
+        let has_rel = distance || rel_at.is_some();
+        let mut fold = (has_rel || target_at.is_some()).then(|| vec![0.0f32; n * c]);
+        let mut scatter = (has_rel || source_at.is_some()).then(|| vec![0.0f32; n * c]);
+        let inv = 1.0 / k as f32;
+        // The chain negates through a runtime multiply; a literal `-1.0`
+        // lets the optimiser turn `x * -1.0` into a sign flip, which
+        // differs from the multiply on NaN (the multiply keeps the sign).
+        let minus_one = std::hint::black_box(-1.0f32);
+
+        let mut gm = vec![0.0f32; w];
+        let mut g_rel = vec![0.0f32; c];
+        let mut neg = vec![0.0f32; c];
+        let mut side = vec![0.0f32; c];
+        let mut edge = EdgeScratch::new(c, self.parts);
+        for i in 0..n {
+            let gi = &g[i * w..(i + 1) * w];
+            match self.how {
+                Reduction::Sum => gm.copy_from_slice(gi),
+                Reduction::Mean => {
+                    gm.copy_from_slice(gi);
+                    simd::scale(&mut gm, inv);
+                }
+                Reduction::Max | Reduction::Min => {}
+            }
+            let hi = &h[i * c..(i + 1) * c];
+            for kk in 0..k {
+                let j = self.idx[i * k + kk];
+                assert!(j < n, "scatter index {j} out of bounds for {n} rows");
+                if tracks {
+                    let ai = &args[i * w..(i + 1) * w];
+                    for ((m, &a), &v) in gm.iter_mut().zip(ai).zip(gi) {
+                        *m = if usize::from(a) == kk { v } else { 0.0 };
+                    }
+                }
+                if distance {
+                    edge.load(hi, &h[j * c..(j + 1) * c]);
+                    let nv = edge.norm.max(EPS);
+                    for (r, &x) in g_rel.iter_mut().zip(&edge.rel) {
+                        *r = gm[0] * x / nv;
+                    }
+                } else if let Some(off) = rel_at {
+                    g_rel.copy_from_slice(&gm[off..off + c]);
+                }
+                if has_rel {
+                    neg.copy_from_slice(&g_rel);
+                    simd::scale(&mut neg, minus_one);
+                }
+                if let Some(fold) = fold.as_mut() {
+                    let t = match target_at {
+                        Some(off) => {
+                            side.copy_from_slice(&gm[off..off + c]);
+                            if has_rel {
+                                simd::add_assign(&mut side, &neg);
+                            }
+                            &side
+                        }
+                        None => &neg,
+                    };
+                    simd::add_assign(&mut fold[i * c..(i + 1) * c], t);
+                }
+                if let Some(scatter) = scatter.as_mut() {
+                    let s = match source_at {
+                        Some(off) => {
+                            side.copy_from_slice(&gm[off..off + c]);
+                            if has_rel {
+                                simd::add_assign(&mut side, &g_rel);
+                            }
+                            &side
+                        }
+                        None => &g_rel,
+                    };
+                    simd::add_assign(&mut scatter[j * c..(j + 1) * c], s);
+                }
+            }
+        }
+        EdgeGrads { fold, scatter }
+    }
 }
 
 #[cfg(test)]

@@ -76,7 +76,22 @@ pub fn reduce_mid_axis(t: &Tensor, how: Reduction) -> ArgReduce {
         t.shape()
     );
     let (n, k, c) = (t.dims()[0], t.dims()[1], t.dims()[2]);
-    let d = t.data();
+    reduce_groups(t.data(), n, k, c, how)
+}
+
+/// [`reduce_mid_axis`] over a borrowed row-major `[n*k, c]` buffer: reduces
+/// each run of `k` consecutive rows, producing `[n, c]`. No copy of the
+/// input is made.
+///
+/// # Panics
+///
+/// Panics if `d.len() != n*k*c`.
+pub fn reduce_groups(d: &[f32], n: usize, k: usize, c: usize, how: Reduction) -> ArgReduce {
+    assert_eq!(
+        d.len(),
+        n * k * c,
+        "reduce_groups: buffer is not [{n}*{k}, {c}]"
+    );
     let mut values = vec![0.0f32; n * c];
     let mut args = Vec::new();
     match how {
@@ -133,10 +148,9 @@ pub fn reduce_rows(t: &Tensor, how: Reduction) -> ArgReduce {
         t.shape()
     );
     let (n, c) = (t.dims()[0], t.dims()[1]);
-    let view = t.reshape(&[1, n, c]);
-    let r = reduce_mid_axis(&view, how);
+    let r = reduce_groups(t.data(), 1, n, c, how);
     ArgReduce {
-        values: r.values.reshape(&[c]),
+        values: Tensor::from_vec(r.values.into_vec(), &[c]),
         args: r.args,
     }
 }

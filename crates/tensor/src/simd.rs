@@ -476,6 +476,32 @@ fn sqdist3_indexed_scalar(q: &[f32], points: &[f32], idx: &[usize], out: &mut [f
     }
 }
 
+/// `acc[j] += (q - col[j])²` — one coordinate's term of the squared
+/// distances from a query to a column-major batch of points (`col` holds
+/// that coordinate of every candidate). Calling it once per coordinate, in
+/// order, on a `+0.0`-filled `acc` reproduces the sequential scalar fold
+/// `Σ_d (q_d - p_d)²` of each distance bit-for-bit, for any dimension.
+/// Elementwise over `j` (sub, mul, add — no FMA), hence path-independent.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn sq_diff_accumulate(acc: &mut [f32], q: f32, col: &[f32]) {
+    assert_eq!(acc.len(), col.len(), "sq_diff_accumulate length mismatch");
+    lane_dispatch!(
+        acc.len(),
+        avx2::sq_diff_accumulate(acc, q, col),
+        sq_diff_accumulate_scalar(acc, q, col)
+    )
+}
+
+fn sq_diff_accumulate_scalar(acc: &mut [f32], q: f32, col: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(col) {
+        let d = q - v;
+        *a += d * d;
+    }
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     //! The AVX2 legs. Every function requires the `avx2` target feature
@@ -678,6 +704,23 @@ mod avx2 {
         for (t, i) in (full..a.len()).enumerate() {
             lanes[t] += a[i] * b[i];
         }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sq_diff_accumulate(acc: &mut [f32], q: f32, col: &[f32]) {
+        let n = acc.len();
+        let vq = _mm256_set1_ps(q);
+        let mut j = 0;
+        while j + LANES <= n {
+            let d = _mm256_sub_ps(vq, _mm256_loadu_ps(col.as_ptr().add(j)));
+            let va = _mm256_loadu_ps(acc.as_ptr().add(j));
+            _mm256_storeu_ps(
+                acc.as_mut_ptr().add(j),
+                _mm256_add_ps(va, _mm256_mul_ps(d, d)),
+            );
+            j += LANES;
+        }
+        super::sq_diff_accumulate_scalar(&mut acc[j..], q, &col[j..]);
     }
 
     /// Distances to 8 interleaved-`xyz` points at a time via stride-3

@@ -2,6 +2,7 @@
 
 use hgnas_tensor::kernels::{
     concat_cols, fold_rows, gather_rows, repeat_rows, row_norms, scatter_add_rows, split_cols,
+    EdgeAggregate, EdgePart,
 };
 use hgnas_tensor::matmul::{matmul_at, matmul_blocked, matmul_bt, matmul_naive, matmul_parallel};
 use hgnas_tensor::reduce::{reduce_mid_axis, segment_reduce_rows, Reduction};
@@ -333,5 +334,63 @@ proptest! {
         prop_assert!(bits_eq(&s.0, &l.0), "scatter_add_rows diverged");
         prop_assert!(bits_eq(&s.1, &l.1), "fold_rows diverged");
         prop_assert!(bits_eq(&s.2, &l.2), "row_norms diverged");
+    }
+
+    #[test]
+    fn edge_aggregate_forward_matches_kernel_chain(
+        n in 2usize..10, c in 1usize..20, k in 1usize..5, seed in 0u64..1000
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use EdgePart::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Integer-valued features force exact ties and signed zeros.
+        let h: Vec<f32> = (0..n * c)
+            .map(|_| match rng.gen_range(0..6) {
+                0 => -0.0,
+                _ => rng.gen_range(-2i32..3) as f32,
+            })
+            .collect();
+        let idx: Vec<usize> = (0..n * k).map(|_| rng.gen_range(0..n)).collect();
+        let t = Tensor::from_vec(h.clone(), &[n, c]);
+        let layouts: [&[EdgePart]; 7] = [
+            &[Source],
+            &[Target],
+            &[Rel],
+            &[Distance],
+            &[Source, Rel],
+            &[Target, Rel],
+            &[Target, Source, Rel],
+        ];
+        for parts in layouts {
+            for how in Reduction::ALL {
+                let runs = on_both_paths(|| {
+                    let nbr = gather_rows(&t, &idx);
+                    let ctr = repeat_rows(&t, k);
+                    let rel = nbr.sub(&ctr);
+                    let cols: Vec<Tensor> = parts
+                        .iter()
+                        .map(|p| match p {
+                            Target => ctr.clone(),
+                            Source => nbr.clone(),
+                            Rel => rel.clone(),
+                            Distance => row_norms(&rel),
+                        })
+                        .collect();
+                    let msg = concat_cols(&cols.iter().collect::<Vec<_>>());
+                    let w = msg.dims()[1];
+                    let chain = reduce_mid_axis(&msg.reshape(&[n, k, w]), how);
+                    let spec = EdgeAggregate { h: &h, c, idx: &idx, k, parts, how };
+                    let tracks = matches!(how, Reduction::Max | Reduction::Min);
+                    let mut args = vec![0u16; if tracks { n * w } else { 0 }];
+                    let fused = spec.forward(tracks.then_some(args.as_mut_slice()));
+                    let args: Vec<usize> = args.into_iter().map(usize::from).collect();
+                    (chain, Tensor::from_vec(fused, &[n, w]), args)
+                });
+                for (chain, fused, args) in [runs.0, runs.1] {
+                    prop_assert!(bits_eq(&chain.values, &fused), "{parts:?}/{how} values");
+                    prop_assert_eq!(chain.args, args);
+                }
+            }
+        }
     }
 }
