@@ -195,9 +195,11 @@ pub struct SearchConfig {
     pub predictor: PredictorConfig,
     /// Cap on validation clouds per accuracy evaluation.
     pub eval_clouds: usize,
-    /// Total thread budget for candidate evaluation: the parallel
-    /// evaluator splits it between EA-level workers and kernel-level
-    /// matmul threads. Results are bit-identical for any value ≥ 1.
+    /// Total thread budget of a search: the parallel evaluator splits it
+    /// between EA-level workers and kernel-level matmul threads, and a
+    /// cold predictor-mode [`Hgnas::run`] trains the predictor on one of
+    /// its threads beside supernet pre-training. Results are
+    /// bit-identical for any value ≥ 1.
     pub eval_threads: usize,
     /// RNG seed.
     pub seed: u64,
@@ -1207,28 +1209,23 @@ impl Hgnas {
     fn make_oracle(&self, opts: &RunOptions) -> (LatencyOracle, Option<TrainStats>) {
         match self.config.latency_mode {
             LatencyMode::Predictor => {
-                if let Some(pre) = &opts.predictor {
-                    assert_eq!(
-                        pre.predictor.device(),
-                        self.config.device,
-                        "pre-trained predictor targets the wrong device"
-                    );
-                    assert_eq!(
-                        *pre.predictor.context(),
-                        self.task.predictor_context(),
-                        "pre-trained predictor was trained for a different task context"
-                    );
-                    return (
-                        LatencyOracle::Predictor(Arc::clone(&pre.predictor)),
-                        Some(pre.stats.clone()),
-                    );
-                }
-                let (p, stats) = LatencyPredictor::train_with_profile(
-                    &self.config.device_profile(),
-                    &self.task.predictor_context(),
-                    &self.config.predictor,
-                );
-                (LatencyOracle::Predictor(Arc::new(p)), Some(stats))
+                let pre = match &opts.predictor {
+                    Some(pre) => {
+                        assert_eq!(
+                            pre.predictor.device(),
+                            self.config.device,
+                            "pre-trained predictor targets the wrong device"
+                        );
+                        assert_eq!(
+                            *pre.predictor.context(),
+                            self.task.predictor_context(),
+                            "pre-trained predictor was trained for a different task context"
+                        );
+                        pre.clone()
+                    }
+                    None => self.train_predictor(),
+                };
+                (LatencyOracle::Predictor(pre.predictor), Some(pre.stats))
             }
             LatencyMode::Measured => (
                 LatencyOracle::Measured {
@@ -1239,6 +1236,22 @@ impl Hgnas {
                 },
                 None,
             ),
+        }
+    }
+
+    /// Trains this configuration's latency predictor from the device
+    /// profile. It reads nothing from the supernet, so a cold run trains
+    /// it beside supernet pre-training; every run that trains a predictor
+    /// does so through here.
+    fn train_predictor(&self) -> PretrainedPredictor {
+        let (p, stats) = LatencyPredictor::train_with_profile(
+            &self.config.device_profile(),
+            &self.task.predictor_context(),
+            &self.config.predictor,
+        );
+        PretrainedPredictor {
+            predictor: Arc::new(p),
+            stats,
         }
     }
 
@@ -1762,11 +1775,13 @@ impl Hgnas {
 
     /// Runs the full search and returns the outcome.
     ///
-    /// The serial sections (supernet training) hand the whole
-    /// `eval_threads` budget to the matmul kernels; Stage 1, Stage 2 and
-    /// the one-stage baseline split it between evaluation workers and
-    /// kernels. Both kernels are bit-identical, so `eval_threads` never
-    /// changes the outcome.
+    /// Stage 1, Stage 2 and the one-stage baseline split the
+    /// `eval_threads` budget between evaluation workers and matmul
+    /// kernels. Supernet pre-training runs beside predictor training: the
+    /// predictor takes one thread and pre-training's kernels the rest
+    /// (with a budget of 1, the predictor trains after pre-training).
+    /// Kernel budgets are bit-identical, so `eval_threads` never changes
+    /// the outcome.
     pub fn run(&self) -> SearchOutcome {
         self.run_with(RunOptions::default())
             .outcome
@@ -1777,6 +1792,11 @@ impl Hgnas {
     /// pre-trained predictor, checkpoint persistence and resume. See
     /// [`RunOptions`]; `run_with(RunOptions::default())` is [`Hgnas::run`]
     /// plus the final checkpoint.
+    ///
+    /// A predictor-mode multi-stage run given neither
+    /// [`RunOptions::session`] nor [`RunOptions::predictor`] trains the
+    /// predictor beside supernet pre-training, within the same
+    /// `eval_threads` budget; a run given either takes no such thread.
     pub fn run_with(&self, opts: RunOptions) -> RunOutput {
         with_kernel_threads(self.config.eval_threads, || self.run_inner(opts))
     }
@@ -1787,23 +1807,48 @@ impl Hgnas {
     /// [`SessionState`]. Handing it to [`RunOptions::session`] makes
     /// `run_with` skip straight to the main search loop; results are
     /// bit-identical to a run that replayed the prefix itself.
+    ///
+    /// It trains no predictor, so supernet pre-training keeps the whole
+    /// `eval_threads` budget.
     pub fn prepare_session(&self) -> SessionState {
-        with_kernel_threads(self.config.eval_threads, || self.prepare_session_inner())
+        with_kernel_threads(self.config.eval_threads, || {
+            self.prepare_session_inner(false).0
+        })
     }
 
-    fn prepare_session_inner(&self) -> SessionState {
+    /// Builds the session prefix. With `with_predictor` set, a multi-stage
+    /// prefix also trains the latency predictor beside supernet
+    /// pre-training (see [`run_beside`]) and returns it; a one-stage
+    /// prefix has no pre-training to overlap and returns `None`.
+    fn prepare_session_inner(
+        &self,
+        with_predictor: bool,
+    ) -> (SessionState, Option<PretrainedPredictor>) {
         let ds = self.dataset();
+        let mut predictor = None;
         let prefix = match self.config.strategy {
             Strategy::MultiStage => {
                 let mut clock = SearchClock::new();
                 let (functions, stage1_stats) = self.stage1(&ds, &mut clock);
-                let supernet = self.train_supernet(
-                    functions,
-                    self.config.epochs_stage2,
-                    &ds,
-                    self.config.seed.wrapping_add(4),
-                    &mut clock,
-                );
+                let mut pretrain = || {
+                    self.train_supernet(
+                        functions,
+                        self.config.epochs_stage2,
+                        &ds,
+                        self.config.seed.wrapping_add(4),
+                        &mut clock,
+                    )
+                };
+                let supernet = if with_predictor {
+                    let (supernet, trained) =
+                        run_beside(self.config.eval_threads, pretrain, || {
+                            self.train_predictor()
+                        });
+                    predictor = Some(trained);
+                    supernet
+                } else {
+                    pretrain()
+                };
                 SessionPrefix::MultiStage {
                     functions,
                     stage1_stats,
@@ -1813,12 +1858,13 @@ impl Hgnas {
             }
             Strategy::OneStage => SessionPrefix::OneStage,
         };
-        SessionState {
+        let session = SessionState {
             task: self.task.clone(),
             config: self.config.clone(),
             ds,
             prefix,
-        }
+        };
+        (session, predictor)
     }
 
     fn run_inner(&self, mut opts: RunOptions) -> RunOutput {
@@ -1841,7 +1887,16 @@ impl Hgnas {
                 s
             }
             None => {
-                owned_session = self.prepare_session_inner();
+                // A predictor-mode run with nothing prepared trains its
+                // predictor beside pre-training; the result reaches the
+                // oracle exactly as a pre-trained predictor would.
+                let with_predictor =
+                    self.config.latency_mode == LatencyMode::Predictor && opts.predictor.is_none();
+                let (built, trained) = self.prepare_session_inner(with_predictor);
+                if trained.is_some() {
+                    opts.predictor = trained;
+                }
+                owned_session = built;
                 &owned_session
             }
         };
@@ -1947,6 +2002,35 @@ impl Hgnas {
             }
         }
     }
+}
+
+/// Runs `main` on the calling thread and `side` on one scoped thread, and
+/// returns both results. The `threads` budget is split between them:
+/// `main` keeps `threads - 1` kernel threads and `side` gets 1. With
+/// `threads <= 1` nothing is spawned and `side` runs after `main` on the
+/// calling thread. Kernel budgets never change results, so the two
+/// schedules give the same bits.
+///
+/// A panic in `side` resurfaces here with its original payload once
+/// `main` has finished; `main`'s result is dropped, never returned.
+fn run_beside<A, B: Send>(
+    threads: usize,
+    main: impl FnOnce() -> A,
+    side: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    if threads <= 1 {
+        let a = main();
+        return (a, side());
+    }
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| with_kernel_threads(1, side));
+        let a = with_kernel_threads(threads - 1, main);
+        match handle.join() {
+            Ok(b) => (a, b),
+            // Unwinding drops `a`.
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 fn mutate_function_set(mut fs: FunctionSet, rng: &mut StdRng) -> FunctionSet {
@@ -2312,6 +2396,58 @@ mod tests {
             profile: DeviceKind::RaspberryPi3B.profile(),
         });
         Hgnas::new(TaskConfig::tiny(5), cfg).run();
+    }
+
+    #[test]
+    fn run_beside_splits_the_budget_and_runs_inline_at_one_thread() {
+        use hgnas_tensor::threads::kernel_threads;
+        let (main, side) = run_beside(3, kernel_threads, kernel_threads);
+        assert_eq!((main, side), (2, 1));
+        let order = std::sync::Mutex::new(Vec::new());
+        let main_thread = std::thread::current().id();
+        let (main, side) = run_beside(
+            1,
+            || {
+                order.lock().unwrap().push("main");
+                (kernel_threads(), std::thread::current().id())
+            },
+            || {
+                order.lock().unwrap().push("side");
+                (kernel_threads(), std::thread::current().id())
+            },
+        );
+        assert_eq!(*order.lock().unwrap(), ["main", "side"]);
+        assert_eq!((main.1, side.1), (main_thread, main_thread));
+        assert_eq!((main.0, side.0), (1, 1));
+    }
+
+    #[test]
+    fn run_beside_resurfaces_a_side_panic_with_its_message() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct Pretrained<'a>(&'a AtomicBool);
+        impl Drop for Pretrained<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let dropped = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_beside(
+                2,
+                || Pretrained(&dropped),
+                || -> usize { panic!("predictor diverged at epoch {}", 3) },
+            )
+        }));
+        let payload = caught.err().expect("the side job's panic propagates");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("predictor diverged at epoch 3"));
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "the main job's result is dropped, not returned"
+        );
     }
 
     #[test]

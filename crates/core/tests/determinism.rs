@@ -1,11 +1,16 @@
 //! Determinism guarantees of the parallel candidate evaluator: for a fixed
 //! seed, thread count must never change any result bit.
 
-use hgnas_core::search::{Hgnas, LatencyMode, SearchConfig, SearchOutcome, TaskConfig};
+use hgnas_core::search::{
+    Hgnas, LatencyMode, PretrainedPredictor, RunOptions, SearchConfig, SearchOutcome, Strategy,
+    TaskConfig,
+};
 use hgnas_core::{evolve_with, CandidateScorer, EaConfig, EaResult, Evaluator};
 use hgnas_device::DeviceKind;
+use hgnas_predictor::{LatencyPredictor, TrainStats};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Scorer with RNG-dependent output, so any stream misassignment between
 /// thread counts shows up as a fitness difference.
@@ -94,6 +99,89 @@ fn assert_outcomes_bit_identical(a: &SearchOutcome, b: &SearchOutcome) {
     }
     assert_eq!(a.search_hours.to_bits(), b.search_hours.to_bits());
     assert_eq!(a.eval_stats, b.eval_stats);
+    assert_eq!(a.stage1_stats, b.stage1_stats);
+    let stats_bits = |s: &TrainStats| {
+        (
+            s.train_mape.to_bits(),
+            s.val_mape.to_bits(),
+            s.val_within_10pct.to_bits(),
+            s.train_size,
+        )
+    };
+    assert_eq!(
+        a.predictor_stats.as_ref().map(stats_bits),
+        b.predictor_stats.as_ref().map(stats_bits),
+        "predictor stats diverged"
+    );
+}
+
+/// `Hgnas::run` — which trains the predictor beside supernet pre-training
+/// when it has the threads — against the same search taken apart: a
+/// `prepare_session()` session plus a separately trained predictor handed
+/// to `run_with`. Every thread budget must give the same bits as well.
+fn assert_run_matches_decomposed(strategy: Strategy, mode: LatencyMode) {
+    let task = TaskConfig::tiny(9);
+    let mut first: Option<SearchOutcome> = None;
+    for threads in [1, 2, 3] {
+        let mut cfg = tiny_config(DeviceKind::JetsonTx2, mode, threads);
+        cfg.strategy = strategy;
+        let hgnas = Hgnas::new(task.clone(), cfg.clone());
+        let whole = hgnas.run();
+
+        let session = hgnas.prepare_session();
+        let predictor = (mode == LatencyMode::Predictor).then(|| {
+            let (p, stats) = LatencyPredictor::train_with_profile(
+                &cfg.device_profile(),
+                &task.predictor_context(),
+                &cfg.predictor,
+            );
+            PretrainedPredictor {
+                predictor: Arc::new(p),
+                stats,
+            }
+        });
+        let parts = hgnas
+            .run_with(RunOptions {
+                session: Some(&session),
+                predictor,
+                ..RunOptions::default()
+            })
+            .outcome
+            .expect("an un-aborted run yields an outcome");
+        assert_outcomes_bit_identical(&whole, &parts);
+        assert_eq!(
+            whole.predictor_stats.is_some(),
+            mode == LatencyMode::Predictor
+        );
+        assert_eq!(
+            whole.stage1_stats.is_some(),
+            strategy == Strategy::MultiStage
+        );
+        match &first {
+            None => first = Some(whole),
+            Some(serial) => assert_outcomes_bit_identical(serial, &whole),
+        }
+    }
+}
+
+#[test]
+fn multi_stage_predictor_run_matches_decomposed_steps_at_1_2_3_threads() {
+    assert_run_matches_decomposed(Strategy::MultiStage, LatencyMode::Predictor);
+}
+
+#[test]
+fn multi_stage_measured_run_matches_decomposed_steps_at_1_2_3_threads() {
+    assert_run_matches_decomposed(Strategy::MultiStage, LatencyMode::Measured);
+}
+
+#[test]
+fn one_stage_predictor_run_matches_decomposed_steps_at_1_2_3_threads() {
+    assert_run_matches_decomposed(Strategy::OneStage, LatencyMode::Predictor);
+}
+
+#[test]
+fn one_stage_measured_run_matches_decomposed_steps_at_1_2_3_threads() {
+    assert_run_matches_decomposed(Strategy::OneStage, LatencyMode::Measured);
 }
 
 #[test]

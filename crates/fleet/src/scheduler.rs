@@ -53,7 +53,9 @@ use hgnas_device::DeviceKind;
 use hgnas_ops::OpType;
 use hgnas_predictor::LatencyPredictor;
 use hgnas_tensor::threads::with_kernel_threads;
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -648,7 +650,8 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics.
+    /// If a slice panics, every worker stops at its next slice boundary and
+    /// the first panic is re-raised here with its original payload.
     pub fn run(
         &self,
         store: Option<&ArtifactStore>,
@@ -686,6 +689,7 @@ impl Scheduler {
         let budget = self.cfg.max_slices.map(AtomicU64::new);
         let failure: Mutex<Option<StoreError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
         crossbeam::scope(|s| {
             for w in 0..workers {
@@ -702,6 +706,7 @@ impl Scheduler {
                     &sessions,
                     &phases,
                 );
+                let panicked = &panicked;
                 // 0 tells the slice to use the spec's own eval_threads
                 // (legacy one-worker-per-shard mode); otherwise split the
                 // budget, spreading the remainder over the first workers.
@@ -712,11 +717,14 @@ impl Scheduler {
                         .max(1)
                 };
                 s.spawn(move |_| {
+                    let stop_all = || {
+                        for _ in 0..workers {
+                            let _ = tx.send(Job::Stop);
+                        }
+                    };
                     let finish_one = || {
                         if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            for _ in 0..workers {
-                                let _ = tx.send(Job::Stop);
-                            }
+                            stop_all();
                         }
                     };
                     // Exit on a Stop pill or channel teardown alike.
@@ -745,16 +753,32 @@ impl Scheduler {
                             continue;
                         }
                         let mut st = states[i].lock().unwrap();
-                        match self.run_slice(
-                            i,
-                            &mut st,
-                            kernel_budget,
-                            store,
-                            oracle,
-                            sessions,
-                            phases,
-                            events.as_ref(),
-                        ) {
+                        let slice = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            self.run_slice(
+                                i,
+                                &mut st,
+                                kernel_budget,
+                                store,
+                                oracle,
+                                sessions,
+                                phases,
+                                events.as_ref(),
+                            )
+                        }));
+                        let slice = match slice {
+                            Ok(slice) => slice,
+                            Err(payload) => {
+                                // Stop every worker, so none waits on
+                                // shards that will never finish, and keep
+                                // the payload for `run` to re-raise.
+                                abort.store(true, Ordering::SeqCst);
+                                panicked.lock().unwrap().get_or_insert(payload);
+                                drop(st);
+                                stop_all();
+                                break;
+                            }
+                        };
+                        match slice {
                             Ok(SliceOutcome::Finished) => {
                                 drop(st);
                                 finish_one();
@@ -793,9 +817,12 @@ impl Scheduler {
                 });
             }
         })
-        .expect("scheduler worker panicked");
+        .expect("slice panics are caught inside the workers");
 
         let oracle_stats = oracle.map(MeasurementOracle::shutdown);
+        if let Some(payload) = panicked.into_inner().unwrap() {
+            std::panic::resume_unwind(payload);
+        }
         if let Some(e) = failure.into_inner().unwrap() {
             return Err(e);
         }

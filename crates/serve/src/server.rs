@@ -685,18 +685,20 @@ fn run_round(
                 }
                 req.events.push(frame);
             }
-            handle.join().expect("scheduler thread panicked")
+            handle.join()
         })
     };
     req.rounds += 1;
+    // A store failure or a panicking search is terminal for this request
+    // alone: it is reported like a rejection and replayed to late
+    // attachers, and the engine keeps serving every other request.
+    let result = match result {
+        Ok(run) => run.map_err(|e| format!("artifact store error: {e}")),
+        Err(payload) => Err(format!("search panicked: {}", panic_message(&*payload))),
+    };
     match result {
-        Err(e) => {
-            // Store failure: terminal for the request, reported like a
-            // rejection and replayed to late attachers.
-            let frame = wire::encode_server(&ServerFrame::Rejected {
-                request_id,
-                reason: format!("artifact store error: {e}"),
-            });
+        Err(reason) => {
+            let frame = wire::encode_server(&ServerFrame::Rejected { request_id, reason });
             if let Some(t) = &transport {
                 let _ = t.send(&frame);
             }
@@ -749,6 +751,16 @@ fn run_round(
             }
         }
     }
+}
+
+/// The message a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("unknown panic payload")
 }
 
 /// Idle-loop GC: sweep fingerprints no request owns, prune to the byte

@@ -279,3 +279,57 @@ fn drain_parks_and_a_new_daemon_resumes_bit_identically() {
     drop(client);
     server.shutdown();
 }
+
+/// A request whose search panics is rejected on its own: the daemon keeps
+/// serving, and the next tenant's report is bit-identical to a direct
+/// `run_fleet`.
+#[test]
+fn panicking_search_rejects_only_its_own_request() {
+    let temp = TempStore::new("panic");
+    let server = Server::start(temp.open(), serve_config());
+    let devices = [DeviceKind::Rtx3080];
+
+    let mut mallory = server.connect();
+    mallory.hello("mallory", 1, TICK).unwrap();
+    let mut hostile_task = TaskConfig::tiny(73);
+    hostile_task.k = 0;
+    let mut hostile = tiny_config(DeviceKind::Rtx3080);
+    hostile.ea_stage2.population = 0;
+    let (request, _) = mallory
+        .submit(&hostile_task, &hostile, &devices, TICK)
+        .unwrap();
+    match mallory.wait_report(request, SEARCH, |_, _| {}) {
+        Err(ClientError::Rejected { request_id, reason }) => {
+            assert_eq!(request_id, request);
+            assert!(
+                reason.starts_with("search panicked: ")
+                    && reason.contains("k and classes must be positive"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+
+    let task = TaskConfig::tiny(79);
+    let search = tiny_config(DeviceKind::Rtx3080);
+    let mut fleet = FleetConfig::new(devices.to_vec());
+    fleet.threads = 1;
+    fleet.preemption_stride = 1;
+    let reference = run_fleet(&task, &search, &fleet, None).unwrap();
+
+    let mut carol = server.connect();
+    carol.hello("carol", 1, TICK).unwrap();
+    let (request, _) = carol.submit(&task, &search, &devices, TICK).unwrap();
+    let report = carol.wait_report(request, SEARCH, |_, _| {}).unwrap();
+    let (got, want) = (&report.shards[0].outcome, &reference.reports[0].outcome);
+    assert_eq!(got.best.genome, want.best.genome);
+    assert_eq!(got.best.score.to_bits(), want.best.score.to_bits());
+    assert_eq!(
+        got.best.latency_ms.to_bits(),
+        want.best.latency_ms.to_bits()
+    );
+    assert_eq!(got.search_hours.to_bits(), want.search_hours.to_bits());
+    assert_eq!(got.eval_stats, want.eval_stats);
+    drop((mallory, carol));
+    server.shutdown();
+}
